@@ -315,33 +315,35 @@ let time_workers n body =
   Unix.gettimeofday () -. t0
 
 (* Run a fresh copy of a scaling workload with observability on: per-op
-   latencies go into a private histogram, flush counts into the global probe
-   counters.  Kept separate from the timed pass so instrumentation cost
-   never pollutes the throughput column. *)
+   latencies go into a private histogram, and the flush cost is read from
+   the fresh device's own counters.  Kept separate from the timed pass so
+   instrumentation cost never pollutes the throughput column. *)
 let instrument_pass ~workers ~iters setup =
   let probe_iters = min iters 2_000 in
   let hist = Obs.Histogram.create () in
-  Obs.Counters.reset Obs.Probe.counters;
-  Obs.Config.with_enabled true (fun () ->
-      let body = setup () in
-      ignore
-        (time_workers workers (fun i ->
-             for _ = 1 to probe_iters do
-               let t0 = Obs.Config.now_ns () in
-               body i;
-               Obs.Histogram.record hist (Obs.Config.now_ns () - t0)
-             done)));
+  let stats =
+    Obs.Config.with_enabled true (fun () ->
+        let pmem, body = setup () in
+        ignore
+          (time_workers workers (fun i ->
+               for _ = 1 to probe_iters do
+                 let t0 = Obs.Config.now_ns () in
+                 body i;
+                 Obs.Histogram.record hist (Obs.Config.now_ns () - t0)
+               done));
+        Pmem.stats pmem)
+  in
   let s = Obs.Histogram.summary hist in
-  let totals = Obs.Counters.totals Obs.Probe.counters in
   let ops = workers * probe_iters in
   (* Persistence cost per op: eager flush calls plus coalesced drain
      events (an elided flush is bookkeeping, not a write-back — the drain
      is where the cost lands).  On an eager device [drains] is 0 and this
-     is the old flushes/ops metric, bit for bit. *)
+     is the old flushes/ops metric, bit for bit.  The device is fresh, so
+     its counts include the setup's flushes, amortised over the ops. *)
   ( s.Obs.Histogram.p50,
     s.Obs.Histogram.p95,
     s.Obs.Histogram.p99,
-    float_of_int (totals.Obs.Counters.flushes + totals.Obs.Counters.drains)
+    float_of_int (Nvram.Stats.flushes stats + Nvram.Stats.drains stats)
     /. float_of_int ops )
 
 (* Each row's throughput is the best of [timing_repeats] fresh runs: the
@@ -355,7 +357,7 @@ let timing_repeats = 5
 let best_elapsed ~workers ~iters setup =
   let best = ref infinity in
   for _ = 1 to timing_repeats do
-    let body = setup () in
+    let _, body = setup () in
     let elapsed =
       time_workers workers (fun i ->
           for _ = 1 to iters do
@@ -400,18 +402,19 @@ let push_pop_setup ?(flush_mode = Pmem.Eager) ~workers () =
         Pstack.Bounded.create pmem ~base:(off (i * stride)) ~capacity:stride)
   in
   let args = Bytes.make 16 's' in
-  match flush_mode with
-  | Pmem.Eager ->
-      fun i ->
-        let s = stacks.(i) in
-        Pstack.Bounded.push s ~func_id:2 ~args;
-        Pstack.Bounded.pop s
-  | Pmem.Coalesced ->
-      fun i ->
-        let s = stacks.(i) in
-        Pstack.Bounded.push s ~func_id:2 ~args;
-        Pstack.Bounded.pop s;
-        Pmem.persist_barrier pmem
+  ( pmem,
+    match flush_mode with
+    | Pmem.Eager ->
+        fun i ->
+          let s = stacks.(i) in
+          Pstack.Bounded.push s ~func_id:2 ~args;
+          Pstack.Bounded.pop s
+    | Pmem.Coalesced ->
+        fun i ->
+          let s = stacks.(i) in
+          Pstack.Bounded.push s ~func_id:2 ~args;
+          Pstack.Bounded.pop s;
+          Pmem.persist_barrier pmem )
 
 (* one shared device; each worker owns a bounded stack in its own
    line-aligned region, so no two workers ever touch the same line *)
@@ -434,20 +437,21 @@ let rcas_setup ?(flush_mode = Pmem.Eager) ~workers () =
           ~variant:Rcas.Correct)
   in
   let values = Array.make workers 0 in
-  match flush_mode with
-  | Pmem.Eager ->
-      fun i ->
-        let t = regs.(i) in
-        let cur = values.(i) and next = (values.(i) + 1) land 0xFFFF in
-        ignore (Rcas.cas t ~pid:0 ~expected:cur ~desired:next);
-        values.(i) <- next
-  | Pmem.Coalesced ->
-      fun i ->
-        let t = regs.(i) in
-        let cur = values.(i) and next = (values.(i) + 1) land 0xFFFF in
-        ignore (Rcas.cas t ~pid:0 ~expected:cur ~desired:next);
-        values.(i) <- next;
-        Pmem.persist_barrier pmem
+  ( pmem,
+    match flush_mode with
+    | Pmem.Eager ->
+        fun i ->
+          let t = regs.(i) in
+          let cur = values.(i) and next = (values.(i) + 1) land 0xFFFF in
+          ignore (Rcas.cas t ~pid:0 ~expected:cur ~desired:next);
+          values.(i) <- next
+    | Pmem.Coalesced ->
+        fun i ->
+          let t = regs.(i) in
+          let cur = values.(i) and next = (values.(i) + 1) land 0xFFFF in
+          ignore (Rcas.cas t ~pid:0 ~expected:cur ~desired:next);
+          values.(i) <- next;
+          Pmem.persist_barrier pmem )
 
 (* per-worker single-process recoverable CAS registers at disjoint
    line-aligned offsets of one auto-flush device.  The coalesced variant
@@ -464,18 +468,19 @@ let heap_alloc_setup ?(flush_mode = Pmem.Eager) ~workers () =
   let pmem = Pmem.create ~flush_mode ~size:(1 lsl 22) () in
   let heap = Heap.format ~arenas:workers pmem ~base:(off 64) ~len:(1 lsl 21) in
   let views = Array.init workers (fun i -> Heap.with_arena heap i) in
-  match flush_mode with
-  | Pmem.Eager ->
-      fun i ->
-        let h = views.(i) in
-        let a = Heap.alloc h 64 in
-        Heap.free h a
-  | Pmem.Coalesced ->
-      fun i ->
-        let h = views.(i) in
-        let a = Heap.alloc h 64 in
-        Heap.free h a;
-        Pmem.persist_barrier pmem
+  ( pmem,
+    match flush_mode with
+    | Pmem.Eager ->
+        fun i ->
+          let h = views.(i) in
+          let a = Heap.alloc h 64 in
+          Heap.free h a
+    | Pmem.Coalesced ->
+        fun i ->
+          let h = views.(i) in
+          let a = Heap.alloc h 64 in
+          Heap.free h a;
+          Pmem.persist_barrier pmem )
 
 (* one shared heap split into one arena per worker (the runtime's layout);
    each worker allocates through its own arena view, so this row measures

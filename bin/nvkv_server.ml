@@ -136,10 +136,7 @@ let register_dispatch registry dedup_handle =
     | 5 -> Exec.call ctx ~func_id:deq_id ~args:Bytes.empty
     | _ -> invalid_arg (Printf.sprintf "nvkv.dispatch: opcode %d" opcode)
   in
-  let hit_recorded () =
-    if Obs.Config.enabled () then
-      Obs.Counters.incr_dedup_hits Obs.Probe.counters
-  in
+  let hit_recorded () = Obs.Counters.incr_dedup_hits Obs.Probe.counters in
   let body ctx args =
     let client, seq, opcode, a, b = parse args in
     let dedup = dedup_handle () in

@@ -17,6 +17,9 @@ type server = {
   sockaddr : Unix.sockaddr;
   recovery_ms : float;  (** the READY line's measured recovery span *)
   fresh : bool;  (** created a new image rather than attached *)
+  output : in_channel;
+      (** the server's stdout after its READY line; a graceful stop ends
+          it with [STATS conns=N requests=N dedup_hits=N] *)
 }
 
 val server_exe : unit -> string

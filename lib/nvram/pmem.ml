@@ -6,9 +6,10 @@ type flush_mode = Eager | Coalesced
    persists a whole log in that (flush) order, so the persisted set at any
    moment is a prefix of the flush sequence — the property that makes every
    coalesced persistence state one the eager mode can also reach.  The log
-   mutex is never taken while a stripe is held (flushes append after
-   releasing their stripes; drains take [log_mu] first, then stripes one at
-   a time), so the two lock families cannot deadlock. *)
+   mutex is always taken before any stripe and never while one is held (a
+   coalesced flush takes its log's mutex, then its stripes; a drain takes
+   [log_mu], then stripes one at a time), so the two lock families cannot
+   deadlock. *)
 type pending_log = {
   log_mu : Mutex.t;
   mutable log_lines : int array;
@@ -62,12 +63,11 @@ type t = {
   yield_probability : float;
   yield_state : int Atomic.t;  (* lock-free LCG for scheduling jitter *)
   stripes : Mutex.t array;
-      (* Striped device lock: stripe [s] guards every cache line [l] with
-         [l mod Array.length stripes = s] — its bytes in [volatile], its
-         [dirty] bit and its persistence.  Operations on disjoint lines
-         proceed in parallel; an operation touching several lines holds all
-         covering stripes for its whole duration (acquired in ascending
-         stripe order, so the locking is deadlock-free), which preserves the
+      (* Striped device lock: stripe [stripe_of t l] guards cache line [l]
+         — its bytes in [volatile], its [dirty] and [pending] bits and its
+         persistence.  Operations on disjoint lines proceed in parallel; an
+         operation touching several lines holds all covering stripes for
+         its whole duration (see [lock_lines]), which preserves the
          linearizability of the old single-mutex device. *)
 }
 
@@ -173,55 +173,135 @@ let maybe_yield t =
    worker's hot line 0 lands on the *same* stripe and the "striped" lock
    degenerates to a single shared mutex.  Mixing the bits first spreads
    any stride pattern across all stripes. *)
-let stripe_of t line =
+let[@inline] stripe_of t line =
   (line * 0x2545F4914F6CDD1D) lsr 40 land (Array.length t.stripes - 1)
 
-(* Write-amplification accounting: payload bytes requested vs cache-line
-   bytes dirtied.  Only called when recording is enabled. *)
-let record_write_counters t ~off ~len =
-  if len = 0 then
-    Obs.Counters.record_write Obs.Probe.counters ~payload:0 ~amplified:0
+(* {2 Stripe locking}
+
+   Every operation holds the stripes of the lines it touches for its whole
+   duration.  [lock_lines] and [unlock_lines] are the only code that locks
+   or unlocks a stripe: stripes are acquired in ascending index order, so
+   the locking is deadlock-free, and released in reverse.  Both are
+   closure-free and allocate nothing, so the hot single-word paths stay off
+   the minor heap (minor collections stop every domain in OCaml 5).  A
+   range with at least as many lines as there are stripes takes them all. *)
+
+(* The lowest stripe above [after] that covers a line of [first..last], or
+   the stripe count when there is none. *)
+let next_stripe t ~first ~last after =
+  let next = ref (Array.length t.stripes) in
+  for line = first to last do
+    let s = stripe_of t line in
+    if s > after && s < !next then next := s
+  done;
+  !next
+
+(* The highest stripe below [before] that covers a line of [first..last],
+   or -1 when there is none. *)
+let prev_stripe t ~first ~last before =
+  let prev = ref (-1) in
+  for line = first to last do
+    let s = stripe_of t line in
+    if s < before && s > !prev then prev := s
+  done;
+  !prev
+
+let lock_range t ~first ~last =
+  let n = Array.length t.stripes in
+  if last - first + 1 >= n then
+    for s = 0 to n - 1 do
+      Mutex.lock t.stripes.(s)
+    done
   else begin
-    let first, last = Layout.lines_covering ~line_size:t.line_size off ~len in
-    Obs.Counters.record_write Obs.Probe.counters ~payload:len
-      ~amplified:((last - first + 1) * t.line_size)
+    let s = ref (next_stripe t ~first ~last (-1)) in
+    while !s < n do
+      Mutex.lock t.stripes.(!s);
+      s := next_stripe t ~first ~last !s
+    done
   end
 
-(* Run [f] holding the stripes of lines [first..last].  Stripes are locked
-   in ascending index order and released in reverse, also on exceptions
-   (crash signals fire mid-operation by design). *)
-let with_lines t ~first ~last f =
+let unlock_range t ~first ~last =
   let n = Array.length t.stripes in
-  let result =
-    if first = last then Mutex.protect t.stripes.(stripe_of t first) f
-    else begin
-      let needed =
-        if last - first + 1 >= n then Array.make n true
-        else begin
-          let needed = Array.make n false in
-          for l = first to last do
-            needed.(stripe_of t l) <- true
-          done;
-          needed
-        end
-      in
-      for s = 0 to n - 1 do
-        if needed.(s) then Mutex.lock t.stripes.(s)
-      done;
-      Fun.protect
-        ~finally:(fun () ->
-          for s = n - 1 downto 0 do
-            if needed.(s) then Mutex.unlock t.stripes.(s)
-          done)
-        f
-    end
-  in
-  maybe_yield t;
-  result
+  if last - first + 1 >= n then
+    for s = n - 1 downto 0 do
+      Mutex.unlock t.stripes.(s)
+    done
+  else begin
+    let s = ref (prev_stripe t ~first ~last n) in
+    while !s >= 0 do
+      Mutex.unlock t.stripes.(!s);
+      s := prev_stripe t ~first ~last !s
+    done
+  end
 
-(* Whole-device operations (crash, peeks, dirty-line census) serialise
-   against everything by holding every stripe. *)
-let with_all_lines t f = with_lines t ~first:0 ~last:(t.lines - 1) f
+(* The one-line case, by far the commonest, is inlined into each caller. *)
+let[@inline] lock_lines t ~first ~last =
+  if first = last then Mutex.lock t.stripes.(stripe_of t first)
+  else lock_range t ~first ~last
+
+let[@inline] unlock_lines t ~first ~last =
+  if first = last then Mutex.unlock t.stripes.(stripe_of t first)
+  else unlock_range t ~first ~last
+
+(* The two ways out of a locked section: [leave_lines] after the body
+   completed (with the scheduling jitter), [abort_lines] when it raised —
+   crash signals fire mid-operation by design, and the stripes must not
+   outlive the aborted operation. *)
+let[@inline] leave_lines t ~first ~last =
+  unlock_lines t ~first ~last;
+  maybe_yield t
+
+let abort_lines t ~first ~last e =
+  unlock_lines t ~first ~last;
+  raise e
+
+(* Whole-device operations (crash, peeks, line census) serialise against
+   everything by holding every stripe.  They are cold, so a closure is
+   fine here. *)
+let with_all_lines t f =
+  let last = t.lines - 1 in
+  lock_lines t ~first:0 ~last;
+  match f () with
+  | result ->
+      leave_lines t ~first:0 ~last;
+      result
+  | exception e -> abort_lines t ~first:0 ~last e
+
+(* {2 Observability gate}
+
+   One atomic load per operation.  [obs_start] takes a timestamp only when
+   recording is on and returns 0 otherwise (a real timestamp is at least
+   1: the clock counts from program start); the operation records its
+   latency at the end, so an operation that raises records nothing — a
+   crash signal aborts it, and there is no completed latency to report.
+   The latency window surrounds the lock acquisition and the locked body,
+   so contention shows up in the histograms.  Device event counts are not
+   recorded here: they live in the device's always-on [Stats]. *)
+
+let[@inline] obs_start () =
+  if Obs.Config.enabled () then begin
+    let now = Obs.Config.now_ns () in
+    if now > 0 then now else 1
+  end
+  else 0
+
+let[@inline] observe probe t0_ns =
+  if t0_ns <> 0 then Obs.Probe.record_latency probe ~t0_ns
+
+(* A write's latency plus its write amplification: payload bytes requested
+   vs cache-line bytes dirtied. *)
+let[@inline] observe_write t ~base ~len t0_ns =
+  if t0_ns <> 0 then begin
+    Obs.Probe.record_latency Obs.Probe.Pmem_write ~t0_ns;
+    let lines =
+      if len = 0 then 0
+      else ((base + len - 1) / t.line_size) - (base / t.line_size) + 1
+    in
+    Obs.Counters.record_write Obs.Probe.counters ~payload:len
+      ~amplified:(lines * t.line_size)
+  end
+
+(* {2 Line state} *)
 
 (* Persist one cache line: atomic with respect to crashes.  Clears both
    tags — a persisted line is neither dirty nor pending. *)
@@ -231,6 +311,17 @@ let persist_line t index =
   Backend.persist t.backend ~off:start ~src:t.volatile ~src_off:start ~len;
   t.dirty.(index) <- false;
   t.pending.(index) <- false
+
+(* A write-back a flush, a drain or an auto-flush write paid for. *)
+let write_back t index =
+  persist_line t index;
+  Stats.incr_lines_flushed t.stats 1
+
+(* The tail of every store to line [index]: the dirty bit, then the
+   auto-flush write-back.  Caller holds the line's stripe. *)
+let[@inline] mark_written t index =
+  t.dirty.(index) <- true;
+  if t.auto_flush then write_back t index
 
 (* {2 Media faults: torn lines and bit rot} *)
 
@@ -297,7 +388,8 @@ let tear_line_locked t ~index ~seg_start ~seg_len ~src ~src_off ~rng =
    tearing: when this step is the one that {e fires} the crash (not a
    later step observing an already-crashed device) it counts one crash
    event, and the armed tear plan decides whether the interrupted persist
-   of [index] is torn.  Caller holds the stripe of [index]. *)
+   of [index] is torn.  Without a fault plan it is a plain [Crash.step].
+   Caller holds the stripe of [index]. *)
 let step_fault t ~index ~seg_start ~seg_len ~src ~src_off =
   let f = t.faults in
   if not f.armed then Crash.step t.crash_ctl
@@ -322,6 +414,21 @@ let step_fault t ~index ~seg_start ~seg_len ~src ~src_off =
         | None -> ());
         raise Crash.Crash_now
   end
+
+(* Flip one persisted bit, write-through to the visible content, under the
+   stripe of its line. *)
+let flip_bit t ~off ~bit =
+  let index = off / t.line_size in
+  lock_lines t ~first:index ~last:index;
+  match
+    Backend.flip_bit t.backend ~off ~bit;
+    Bytes.set t.volatile off
+      (Char.chr (Char.code (Bytes.get t.volatile off) lxor (1 lsl bit)))
+  with
+  | () ->
+      leave_lines t ~first:index ~last:index;
+      Stats.incr_bits_flipped t.stats 1
+  | exception e -> abort_lines t ~first:index ~last:index e
 
 (* Bit rot between eras: flip seeded persisted bits inside the configured
    target regions.  Runs on [restart], i.e. with the machine quiescent —
@@ -356,36 +463,21 @@ let apply_bitflips t =
   in
   Array.iter
     (fun (off, bit) ->
-      let index = off / t.line_size in
-      with_lines t ~first:index ~last:index (fun () ->
-          Backend.flip_bit t.backend ~off ~bit;
-          Bytes.set t.volatile off
-            (Char.chr
-               (Char.code (Bytes.get t.volatile off) lxor (1 lsl bit))));
-      Stats.incr_bits_flipped t.stats 1;
+      flip_bit t ~off ~bit;
       note_fault_injected ())
     flips
 
 let inject_bitflip t ~off ~bit =
   check_range t off 1;
-  let off = Offset.to_int off in
-  let index = off / t.line_size in
-  with_lines t ~first:index ~last:index (fun () ->
-      Backend.flip_bit t.backend ~off ~bit;
-      Bytes.set t.volatile off
-        (Char.chr (Char.code (Bytes.get t.volatile off) lxor (1 lsl bit))));
-  Stats.incr_bits_flipped t.stats 1
+  flip_bit t ~off:(Offset.to_int off) ~bit
 
 (* {2 Coalesced-mode pending logs and drains} *)
 
 let my_log t = t.logs.((Domain.self () :> int) land (log_buckets - 1))
 
-(* Record a newly-pending line in the calling domain's log.  Called with no
-   stripe held (see the lock-order note on [pending_log]); the amortised
-   growth keeps the steady-state append allocation-free. *)
-let log_append t index =
-  let log = my_log t in
-  Mutex.lock log.log_mu;
+(* Record a newly-pending line in [log], whose mutex the caller holds; the
+   amortised growth keeps the steady-state append allocation-free. *)
+let log_push log index =
   let cap = Array.length log.log_lines in
   if log.log_len = cap then begin
     let bigger = Array.make (max 64 (2 * cap)) 0 in
@@ -393,8 +485,7 @@ let log_append t index =
     log.log_lines <- bigger
   end;
   log.log_lines.(log.log_len) <- index;
-  log.log_len <- log.log_len + 1;
-  Mutex.unlock log.log_mu
+  log.log_len <- log.log_len + 1
 
 (* Drain one pending log: persist its still-pending lines in first-flush
    order and empty it.  Entries whose line is no longer pending (persisted
@@ -408,56 +499,51 @@ let log_append t index =
 let drain_log t log =
   Mutex.lock log.log_mu;
   let drained = ref 0 in
-  (match
-     for k = 0 to log.log_len - 1 do
-       let index = log.log_lines.(k) in
-       let mu = t.stripes.(stripe_of t index) in
-       Mutex.lock mu;
-       (match
-          if t.pending.(index) then begin
-            if t.drain_breakage > 0 then begin
-              (* Broken write-back (test hook): drop the tags without
-                 persisting.  The runtime now believes the line is
-                 persistent while the image still holds the old bytes. *)
-              t.drain_breakage <- t.drain_breakage - 1;
-              t.pending.(index) <- false;
-              t.dirty.(index) <- false
-            end
-            else begin
-              persist_line t index;
-              Stats.incr_lines_flushed t.stats 1
-            end;
-            incr drained
+  match
+    for k = 0 to log.log_len - 1 do
+      let index = log.log_lines.(k) in
+      lock_lines t ~first:index ~last:index;
+      match
+        if t.pending.(index) then begin
+          if t.drain_breakage > 0 then begin
+            (* Broken write-back (test hook): drop the tags without
+               persisting.  The runtime now believes the line is
+               persistent while the image still holds the old bytes. *)
+            t.drain_breakage <- t.drain_breakage - 1;
+            t.pending.(index) <- false;
+            t.dirty.(index) <- false
           end
-        with
-       | () -> Mutex.unlock mu
-       | exception e ->
-           Mutex.unlock mu;
-           raise e)
-     done;
-     log.log_len <- 0
-   with
-  | () -> Mutex.unlock log.log_mu
+          else write_back t index;
+          incr drained
+        end
+      with
+      | () -> unlock_lines t ~first:index ~last:index
+      | exception e -> abort_lines t ~first:index ~last:index e
+    done;
+    log.log_len <- 0
+  with
+  | () ->
+      Mutex.unlock log.log_mu;
+      !drained
   | exception e ->
       Mutex.unlock log.log_mu;
-      raise e);
-  !drained
+      raise e
 
 (* One drain event = one moment the device wrote pending lines back; only
    events that persisted something count, so an empty barrier is free. *)
-let note_drain t ~lines =
-  if lines > 0 then begin
-    Stats.incr_drains t.stats;
-    if Obs.Config.enabled () then
-      Obs.Counters.record_drain Obs.Probe.counters ~lines
-  end
+let note_drain t ~lines = if lines > 0 then Stats.incr_drains t.stats
 
 let drain_own t = note_drain t ~lines:(drain_log t (my_log t))
 
 let drain_every_log t =
   let lines = ref 0 in
-  Array.iter (fun log -> lines := !lines + drain_log t log) t.logs;
+  for b = 0 to log_buckets - 1 do
+    lines := !lines + drain_log t t.logs.(b)
+  done;
   note_drain t ~lines:!lines
+
+let rec any_pending t ~first ~last =
+  first <= last && (t.pending.(first) || any_pending t ~first:(first + 1) ~last)
 
 (* Dependent read: in coalesced mode, reading a pending line is a persist
    barrier (FliT's flush-on-shared-read rule) — the reader may act on the
@@ -468,580 +554,300 @@ let drain_every_log t =
    common case — a domain reading its own recent writes), then everyone's
    if the line is still pending under another domain's log. *)
 let read_drain t ~first ~last =
-  let rec any_pending i = i <= last && (t.pending.(i) || any_pending (i + 1)) in
-  if any_pending first then begin
+  if any_pending t ~first ~last then begin
     drain_own t;
-    if any_pending first then drain_every_log t
+    if any_pending t ~first ~last then drain_every_log t
   end
 
-(* Persist (or auto-flush) the lines covering [off, off+len), consulting the
-   crash scheduler once per line so a crash can land between lines.  Caller
-   holds the covering stripes.  Returns the number of lines persisted. *)
-let flush_lines_locked t ~off ~len =
-  (* inline [Layout.lines_covering]: returning the pair would allocate *)
-  let first = Offset.to_int off / t.line_size in
-  let last = (Offset.to_int off + len - 1) / t.line_size in
-  let persisted = ref 0 in
+(* {2 Data access}
+
+   Each public operation is one body.  The order of its steps is fixed,
+   and crash-point numbering depends on it: stats, [Crash.step], mutation,
+   dirty bit, auto-flush.  Persistence mutators call [Crash.sched_point]
+   before taking any stripe, so a model-checker fiber suspended there
+   holds no device mutex; its footprint names the covered lines so
+   partial-order reduction can tell whether neighbouring operations
+   commute.  Zero-length reads, writes and flushes consult the crash
+   scheduler exactly once, via [Crash.check]: a crashed device refuses
+   them like any other operation, but they never count as a crash
+   {e point}, so crash-point sweeps see the same op numbering whether or
+   not a protocol issues degenerate empty calls (see pmem.mli, stats.mli). *)
+
+(* [Crash.check] under the stripes, releasing them if it raises; kept out
+   of line so that [enter_read], which has no handler, can be inlined. *)
+let check_locked t ~first ~last =
+  match Crash.check t.crash_ctl with
+  | () -> ()
+  | exception e -> abort_lines t ~first ~last e
+
+(* Entry of every non-empty read.  Reads are not scheduling points, but the
+   model checker's reduction needs their footprint to detect read/write
+   races between coarser transitions (crash.mli, "Scheduler hook"); in
+   coalesced mode a read of a pending line drains it first. *)
+let[@inline] enter_read t ~first ~last =
+  Crash.note_read t.crash_ctl ~first_line:first ~last_line:last;
+  if t.flush_mode = Coalesced then read_drain t ~first ~last;
+  lock_lines t ~first ~last;
+  check_locked t ~first ~last;
+  Stats.incr_reads t.stats
+
+(* Entry of every non-empty store. *)
+let[@inline] enter_write t ~first ~last =
+  Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:first
+    ~last_line:last ~persists:t.auto_flush;
+  lock_lines t ~first ~last;
+  Stats.incr_writes t.stats
+
+(* Store [len] bytes of [src] at device offset [base], line by line,
+   consulting the crash scheduler once per line: a multi-line store is not
+   atomic, and with a tear plan armed the line it was writing when the
+   crash fired may tear.  Caller holds the covering stripes. *)
+let store_lines t ~base ~src ~len ~first ~last =
   for index = first to last do
-    (if t.faults.armed then begin
-       (* In-flight content: the whole dirty line about to be written back
-          (a clean line has nothing in flight and cannot tear). *)
-       let line_start = index * t.line_size in
-       let seg_len =
-         if t.dirty.(index) then min t.line_size (t.size - line_start) else 0
-       in
-       step_fault t ~index ~seg_start:line_start ~seg_len ~src:t.volatile
-         ~src_off:line_start
-     end
-     else Crash.step t.crash_ctl);
-    if t.dirty.(index) then begin
-      persist_line t index;
-      Stats.incr_lines_flushed t.stats 1;
-      incr persisted
-    end
-  done;
-  !persisted
+    let line_start = index * t.line_size in
+    let seg_start = max base line_start in
+    let seg_end = min (base + len) (min (line_start + t.line_size) t.size) in
+    step_fault t ~index ~seg_start ~seg_len:(seg_end - seg_start) ~src
+      ~src_off:(seg_start - base);
+    Bytes.blit src (seg_start - base) t.volatile seg_start
+      (seg_end - seg_start);
+    mark_written t index
+  done
 
-(* Write [len] bytes from [src] at [off], line by line, consulting the crash
-   scheduler once per touched line (multi-line writes are not atomic).
-   Caller holds the covering stripes. *)
-let write_locked t ~off ~src ~src_off ~len =
-  if len > 0 then begin
-    let base = Offset.to_int off in
-    (* inline [Layout.lines_covering]: returning the pair would allocate *)
-    let first = base / t.line_size in
-    let last = (base + len - 1) / t.line_size in
-    let written = ref 0 in
-    for index = first to last do
-      let line_start = index * t.line_size in
-      let line_end = min (line_start + t.line_size) t.size in
-      let seg_start = max base line_start in
-      let seg_end = min (base + len) line_end in
-      let seg_len = seg_end - seg_start in
-      (if t.faults.armed then
-         (* In-flight content: this write's segment of the line — the
-            store-plus-writeback the crash interrupts. *)
-         step_fault t ~index ~seg_start ~seg_len ~src
-           ~src_off:(src_off + (seg_start - base))
-       else Crash.step t.crash_ctl);
-      Bytes.blit src (src_off + (seg_start - base)) t.volatile seg_start
-        seg_len;
-      t.dirty.(index) <- true;
-      written := !written + seg_len;
-      if t.auto_flush then begin
-        persist_line t index;
-        Stats.incr_lines_flushed t.stats 1
-      end
-    done;
-    assert (!written = len)
-  end
-
-let covering t off ~len = Layout.lines_covering ~line_size:t.line_size off ~len
-
-(* Observability hooks for the three operation classes.  Each public
-   operation is a named [_raw] body plus an inline gate: when recording is
-   disabled the hook is one atomic load, a branch and a *direct* call into
-   the raw body — no closure is allocated, which keeps the instrumented
-   device within the <5% overhead budget (DESIGN.md section 8).  The
-   latency window surrounds the lock acquisition and the locked body, so
-   contention shows up in the histograms — that is the point of measuring.
-   No sample is recorded when the body raises: a crash signal aborts the
-   operation, so there is no completed latency to report. *)
-
-let read_bytes_raw t ~off ~len =
-  if len = 0 then begin
-    (* Zero-length reads, writes and flushes all consult the crash
-       scheduler exactly once, via [Crash.check]: a crashed device
-       refuses them like any other operation, but they never count as a
-       crash *point* (no persistence op is recorded), so crash-point
-       sweeps see the same op numbering whether or not a protocol
-       issues degenerate empty calls (see pmem.mli / stats.mli). *)
-    Crash.check t.crash_ctl;
-    Stats.incr_reads t.stats;
-    Bytes.empty
-  end
-  else begin
-    let first, last = covering t off ~len in
-    (* Reads are not scheduling points, but the model checker's reduction
-       needs them to detect read/write races between coarser transitions
-       (crash.mli, "Scheduler hook"). *)
-    Crash.note_read t.crash_ctl ~first_line:first ~last_line:last;
-    if t.flush_mode = Coalesced then read_drain t ~first ~last;
-    if first = last then begin
-      let mu = t.stripes.(stripe_of t first) in
-      Mutex.lock mu;
-      match
-        Crash.check t.crash_ctl;
-        Stats.incr_reads t.stats;
-        Bytes.sub t.volatile (Offset.to_int off) len
-      with
-      | result ->
-          Mutex.unlock mu;
-          maybe_yield t;
-          result
-      | exception e ->
-          Mutex.unlock mu;
-          raise e
-    end
-    else
-      with_lines t ~first ~last (fun () ->
-          Crash.check t.crash_ctl;
-          Stats.incr_reads t.stats;
-          Bytes.sub t.volatile (Offset.to_int off) len)
-  end
+(* An 8-byte word that straddles two lines is stored like any byte range. *)
+let store_split_word t ~base ~first ~last v =
+  let src = Bytes.create 8 in
+  Bytes.set_int64_le src 0 v;
+  store_lines t ~base ~src ~len:8 ~first ~last
 
 let read_bytes t ~off ~len =
   check_range t off len;
-  if not (Obs.Config.enabled ()) then read_bytes_raw t ~off ~len
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let result = read_bytes_raw t ~off ~len in
-    Obs.Probe.record_latency Obs.Probe.Pmem_read ~t0_ns;
-    Obs.Counters.incr_reads Obs.Probe.counters;
-    result
-  end
-
-let write_bytes_raw t ~off ~src ~len =
-  if len = 0 then begin
-    (* One [Crash.check], like a zero-length read; the call still
-       counts as a write (see stats.mli). *)
-    Crash.check t.crash_ctl;
-    Stats.incr_writes t.stats
-  end
-  else begin
-    (* inline [covering]: returning the pair would allocate per write *)
-    let first = Offset.to_int off / t.line_size in
-    let last = (Offset.to_int off + len - 1) / t.line_size in
-    (* Scheduling point for the cooperative model checker: before any
-       stripe lock is taken, so a suspended fiber holds no device mutex.
-       The footprint names the covered lines so partial-order reduction
-       can tell whether this store commutes with a neighbour's op. *)
-    Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:first
-      ~last_line:last ~persists:t.auto_flush;
-    if last - first <= 1 then begin
-      (* One- or two-line fast path (frame-sized writes): lock the covering
-         stripes by hand in ascending order — no occupancy array, no
-         closures (see the fast-path note above). *)
-      let sa = stripe_of t first in
-      let sb = if last = first then sa else stripe_of t last in
-      let lo = min sa sb and hi = max sa sb in
-      Mutex.lock t.stripes.(lo);
-      if hi <> lo then Mutex.lock t.stripes.(hi);
-      match
-        Stats.incr_writes t.stats;
-        write_locked t ~off ~src ~src_off:0 ~len
-      with
-      | () ->
-          if hi <> lo then Mutex.unlock t.stripes.(hi);
-          Mutex.unlock t.stripes.(lo);
-          maybe_yield t
-      | exception e ->
-          if hi <> lo then Mutex.unlock t.stripes.(hi);
-          Mutex.unlock t.stripes.(lo);
-          raise e
+  let t0_ns = obs_start () in
+  let result =
+    if len = 0 then begin
+      Crash.check t.crash_ctl;
+      Stats.incr_reads t.stats;
+      Bytes.empty
     end
-    else
-      with_lines t ~first ~last (fun () ->
-          Stats.incr_writes t.stats;
-          write_locked t ~off ~src ~src_off:0 ~len)
-  end
+    else begin
+      let base = Offset.to_int off in
+      let first = base / t.line_size in
+      let last = (base + len - 1) / t.line_size in
+      enter_read t ~first ~last;
+      let result = Bytes.sub t.volatile base len in
+      leave_lines t ~first ~last;
+      result
+    end
+  in
+  observe Obs.Probe.Pmem_read t0_ns;
+  result
 
 let write_bytes t ~off src =
   let len = Bytes.length src in
   check_range t off len;
-  if not (Obs.Config.enabled ()) then write_bytes_raw t ~off ~src ~len
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    write_bytes_raw t ~off ~src ~len;
-    Obs.Probe.record_latency Obs.Probe.Pmem_write ~t0_ns;
-    record_write_counters t ~off ~len
-  end
-
-(* Single-line fast paths.
-
-   The byte/word operations below lock their one stripe by hand instead of
-   going through [with_lines], and write into [volatile] directly instead
-   of staging through a temporary buffer.  The point is allocation: a
-   closure for [Mutex.protect] plus a [Bytes.create 8] per operation feeds
-   OCaml's minor heap on every simulated device access, and minor
-   collections are stop-the-world across *all* domains in OCaml 5 — on the
-   measured host they, not the locks, dominated the multicore anti-scaling.
-   Each fast path preserves the exact operation order of the general path
-   (stats, [Crash.step], mutation, dirty bit, auto-flush), so crash-point
-   numbering is unchanged, and unlocks before re-raising a crash signal. *)
-
-let read_byte_raw t off =
+  let t0_ns = obs_start () in
   let base = Offset.to_int off in
-  let index = base / t.line_size in
-  Crash.note_read t.crash_ctl ~first_line:index ~last_line:index;
-  if t.flush_mode = Coalesced then read_drain t ~first:index ~last:index;
-  let mu = t.stripes.(stripe_of t index) in
-  Mutex.lock mu;
-  match
-    Crash.check t.crash_ctl;
-    Stats.incr_reads t.stats;
-    Char.code (Bytes.get t.volatile base)
-  with
-  | result ->
-      Mutex.unlock mu;
-      maybe_yield t;
-      result
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
+  (if len = 0 then begin
+     Crash.check t.crash_ctl;
+     Stats.incr_writes t.stats
+   end
+   else begin
+     let first = base / t.line_size in
+     let last = (base + len - 1) / t.line_size in
+     enter_write t ~first ~last;
+     match store_lines t ~base ~src ~len ~first ~last with
+     | () -> leave_lines t ~first ~last
+     | exception e -> abort_lines t ~first ~last e
+   end);
+  observe_write t ~base ~len t0_ns
+
+(* The single-byte and single-line word stores below model aligned
+   hardware stores: one crash point, never torn, and no staging buffer —
+   the value goes straight into [volatile]. *)
 
 let read_byte t off =
   check_range t off 1;
-  if not (Obs.Config.enabled ()) then read_byte_raw t off
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let result = read_byte_raw t off in
-    Obs.Probe.record_latency Obs.Probe.Pmem_read ~t0_ns;
-    Obs.Counters.incr_reads Obs.Probe.counters;
-    result
-  end
-
-let write_byte_raw t off b =
+  let t0_ns = obs_start () in
   let base = Offset.to_int off in
   let index = base / t.line_size in
-  Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:index
-    ~last_line:index ~persists:t.auto_flush;
-  let mu = t.stripes.(stripe_of t index) in
-  Mutex.lock mu;
-  match
-    Stats.incr_writes t.stats;
-    Crash.step t.crash_ctl;
-    Bytes.set t.volatile base (Char.chr b);
-    t.dirty.(index) <- true;
-    if t.auto_flush then begin
-      persist_line t index;
-      Stats.incr_lines_flushed t.stats 1
-    end
-  with
-  | () ->
-      Mutex.unlock mu;
-      maybe_yield t
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
+  enter_read t ~first:index ~last:index;
+  let result = Char.code (Bytes.get t.volatile base) in
+  leave_lines t ~first:index ~last:index;
+  observe Obs.Probe.Pmem_read t0_ns;
+  result
 
 let write_byte t off b =
   if b < 0 || b > 255 then invalid_arg "Pmem.write_byte: not a byte";
   check_range t off 1;
-  if not (Obs.Config.enabled ()) then write_byte_raw t off b
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    write_byte_raw t off b;
-    Obs.Probe.record_latency Obs.Probe.Pmem_write ~t0_ns;
-    record_write_counters t ~off ~len:1
-  end
-
-let read_int64_raw t off =
+  let t0_ns = obs_start () in
   let base = Offset.to_int off in
   let index = base / t.line_size in
-  Crash.note_read t.crash_ctl ~first_line:index
-    ~last_line:((base + 7) / t.line_size);
-  if t.flush_mode = Coalesced then
-    read_drain t ~first:index ~last:((base + 7) / t.line_size);
-  if (base + 7) / t.line_size = index then begin
-    let mu = t.stripes.(stripe_of t index) in
-    Mutex.lock mu;
-    match
-      Crash.check t.crash_ctl;
-      Stats.incr_reads t.stats;
-      Bytes.get_int64_le t.volatile base
-    with
-    | result ->
-        Mutex.unlock mu;
-        maybe_yield t;
-        result
-    | exception e ->
-        Mutex.unlock mu;
-        raise e
-  end
-  else
-    let first, last = covering t off ~len:8 in
-    with_lines t ~first ~last (fun () ->
-        Crash.check t.crash_ctl;
-        Stats.incr_reads t.stats;
-        Bytes.get_int64_le t.volatile base)
+  enter_write t ~first:index ~last:index;
+  (match
+     Crash.step t.crash_ctl;
+     Bytes.set t.volatile base (Char.chr b);
+     mark_written t index
+   with
+  | () -> leave_lines t ~first:index ~last:index
+  | exception e -> abort_lines t ~first:index ~last:index e);
+  observe_write t ~base ~len:1 t0_ns
 
-let read_int64 t off =
+let[@inline] read_int64 t off =
   check_range t off 8;
-  if not (Obs.Config.enabled ()) then read_int64_raw t off
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let result = read_int64_raw t off in
-    Obs.Probe.record_latency Obs.Probe.Pmem_read ~t0_ns;
-    Obs.Counters.incr_reads Obs.Probe.counters;
-    result
-  end
-
-let write_int64_raw t off v =
+  let t0_ns = obs_start () in
   let base = Offset.to_int off in
-  let index = base / t.line_size in
-  Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:index
-    ~last_line:((base + 7) / t.line_size) ~persists:t.auto_flush;
-  if (base + 7) / t.line_size = index then begin
-    let mu = t.stripes.(stripe_of t index) in
-    Mutex.lock mu;
-    match
-      Stats.incr_writes t.stats;
-      Crash.step t.crash_ctl;
-      Bytes.set_int64_le t.volatile base v;
-      t.dirty.(index) <- true;
-      if t.auto_flush then begin
-        persist_line t index;
-        Stats.incr_lines_flushed t.stats 1
-      end
-    with
-    | () ->
-        Mutex.unlock mu;
-        maybe_yield t
-    | exception e ->
-        Mutex.unlock mu;
-        raise e
-  end
-  else
-    let first, last = covering t off ~len:8 in
-    with_lines t ~first ~last (fun () ->
-        Stats.incr_writes t.stats;
-        let src = Bytes.create 8 in
-        Bytes.set_int64_le src 0 v;
-        write_locked t ~off ~src ~src_off:0 ~len:8)
+  let first = base / t.line_size and last = (base + 7) / t.line_size in
+  enter_read t ~first ~last;
+  let result = Bytes.get_int64_le t.volatile base in
+  leave_lines t ~first ~last;
+  observe Obs.Probe.Pmem_read t0_ns;
+  result
 
 let write_int64 t off v =
   check_range t off 8;
-  if not (Obs.Config.enabled ()) then write_int64_raw t off v
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    write_int64_raw t off v;
-    Obs.Probe.record_latency Obs.Probe.Pmem_write ~t0_ns;
-    record_write_counters t ~off ~len:8
-  end
+  let t0_ns = obs_start () in
+  let base = Offset.to_int off in
+  let first = base / t.line_size and last = (base + 7) / t.line_size in
+  enter_write t ~first ~last;
+  (match
+     if first = last then begin
+       Crash.step t.crash_ctl;
+       Bytes.set_int64_le t.volatile base v;
+       mark_written t first
+     end
+     else store_split_word t ~base ~first ~last v
+   with
+  | () -> leave_lines t ~first ~last
+  | exception e -> abort_lines t ~first ~last e);
+  observe_write t ~base ~len:8 t0_ns
 
-(* Native-[int] accessors with the [Int64] conversion fused into the
-   locked fast path.  [Int64.to_int (read_int64 t off)] boxes the value
-   across the function boundary — one minor-heap allocation per device
-   word read.  The heap allocator touches several device words per
-   [alloc]/[free]; fusing the conversion into the same body as
-   [Bytes.get_int64_le] lets the compiler keep the intermediate unboxed
-   (see the stop-the-world note above [read_byte_raw]). *)
-let read_int t off =
-  check_range t off 8;
-  if Obs.Config.enabled () then Int64.to_int (read_int64 t off)
-  else begin
-    let base = Offset.to_int off in
-    let index = base / t.line_size in
-    if (base + 7) / t.line_size = index then begin
-      Crash.note_read t.crash_ctl ~first_line:index ~last_line:index;
-      if t.flush_mode = Coalesced then read_drain t ~first:index ~last:index;
-      let mu = t.stripes.(stripe_of t index) in
-      Mutex.lock mu;
-      match
-        Crash.check t.crash_ctl;
-        Stats.incr_reads t.stats;
-        Int64.to_int (Bytes.get_int64_le t.volatile base)
-      with
-      | result ->
-          Mutex.unlock mu;
-          maybe_yield t;
-          result
-      | exception e ->
-          Mutex.unlock mu;
-          raise e
-    end
-    else Int64.to_int (read_int64_raw t off)
-  end
+(* The native-[int] accessors must not pass an [int64] across a function
+   boundary, where it would be boxed: one minor-heap allocation per device
+   word.  [read_int] gets [read_int64] inlined ([@inline] above);
+   [write_int64] has an exception handler, which the compiler does not
+   inline, so [write_int] converts inside a body of its own. *)
+
+let read_int t off = Int64.to_int (read_int64 t off)
 
 let write_int t off v =
   check_range t off 8;
-  if Obs.Config.enabled () then write_int64 t off (Int64.of_int v)
-  else begin
-    let base = Offset.to_int off in
-    let index = base / t.line_size in
-    if (base + 7) / t.line_size = index then begin
-      Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:index
-        ~last_line:index ~persists:t.auto_flush;
-      let mu = t.stripes.(stripe_of t index) in
-      Mutex.lock mu;
-      match
-        Stats.incr_writes t.stats;
-        Crash.step t.crash_ctl;
-        Bytes.set_int64_le t.volatile base (Int64.of_int v);
-        t.dirty.(index) <- true;
-        if t.auto_flush then begin
-          persist_line t index;
-          Stats.incr_lines_flushed t.stats 1
-        end
-      with
-      | () ->
-          Mutex.unlock mu;
-          maybe_yield t
-      | exception e ->
-          Mutex.unlock mu;
-          raise e
-    end
-    else write_int64_raw t off (Int64.of_int v)
-  end
-
-let cas_int64_raw t off ~expected ~desired ~index =
-  Crash.sched_point t.crash_ctl ~kind:Crash.Cas ~first_line:index
-    ~last_line:index ~persists:t.auto_flush;
-  (* The CAS reads the word before deciding: a dependent read like any
-     other, so a pending line is drained first. *)
-  if t.flush_mode = Coalesced then read_drain t ~first:index ~last:index;
+  let t0_ns = obs_start () in
   let base = Offset.to_int off in
-  let mu = t.stripes.(stripe_of t index) in
-  Mutex.lock mu;
-  match
-    Crash.step t.crash_ctl;
-    Stats.incr_reads t.stats;
-    let current = Bytes.get_int64_le t.volatile base in
-    if Int64.equal current expected then begin
-      Stats.incr_writes t.stats;
-      (* A single-line write: no extra crash point between the read and
-         the write, which models a hardware CAS instruction. *)
-      Bytes.set_int64_le t.volatile base desired;
-      t.dirty.(index) <- true;
-      if t.auto_flush then begin
-        persist_line t index;
-        Stats.incr_lines_flushed t.stats 1
-      end;
-      true
-    end
-    else false
-  with
-  | result ->
-      Mutex.unlock mu;
-      maybe_yield t;
-      result
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
+  let first = base / t.line_size and last = (base + 7) / t.line_size in
+  enter_write t ~first ~last;
+  (match
+     if first = last then begin
+       Crash.step t.crash_ctl;
+       Bytes.set_int64_le t.volatile base (Int64.of_int v);
+       mark_written t first
+     end
+     else store_split_word t ~base ~first ~last (Int64.of_int v)
+   with
+  | () -> leave_lines t ~first ~last
+  | exception e -> abort_lines t ~first ~last e);
+  observe_write t ~base ~len:8 t0_ns
 
 let cas_int64 t off ~expected ~desired =
   check_range t off 8;
   if not (Layout.same_line ~line_size:t.line_size off ~len:8) then
     invalid_arg "Pmem.cas_int64: word crosses a cache line";
-  let index = Layout.line_index ~line_size:t.line_size off in
-  if not (Obs.Config.enabled ()) then cas_int64_raw t off ~expected ~desired ~index
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let result = cas_int64_raw t off ~expected ~desired ~index in
-    Obs.Probe.record_latency Obs.Probe.Pmem_cas ~t0_ns;
-    result
-  end
-
-(* Coalesced-mode flush body: consult the crash scheduler once per covering
-   line exactly like the eager path — crash-point numbering is identical in
-   both modes, so an [At_op] placement lands at the same operation whether
-   or not coalescing is on — but instead of persisting, mark each dirty
-   line pending and remember the newly-marked ones for the caller to log
-   once the stripes are released.  The two-line fast path mirrors the eager
-   one: no closure, at most two ref cells. *)
-let elide_fast t ~first ~last =
-  let sa = stripe_of t first in
-  let sb = if last = first then sa else stripe_of t last in
-  let lo = min sa sb and hi = max sa sb in
-  let m0 = ref (-1) and m1 = ref (-1) in
-  Mutex.lock t.stripes.(lo);
-  if hi <> lo then Mutex.lock t.stripes.(hi);
-  (match
-     Stats.incr_flushes_elided t.stats;
-     for index = first to last do
-       Crash.step t.crash_ctl;
-       if t.dirty.(index) && not t.pending.(index) then begin
-         t.pending.(index) <- true;
-         if !m0 < 0 then m0 := index else m1 := index
+  let t0_ns = obs_start () in
+  let base = Offset.to_int off in
+  let index = base / t.line_size in
+  Crash.sched_point t.crash_ctl ~kind:Crash.Cas ~first_line:index
+    ~last_line:index ~persists:t.auto_flush;
+  (* The CAS reads the word before deciding: a dependent read like any
+     other, so a pending line is drained first. *)
+  if t.flush_mode = Coalesced then read_drain t ~first:index ~last:index;
+  lock_lines t ~first:index ~last:index;
+  match
+    Crash.step t.crash_ctl;
+    Stats.incr_reads t.stats;
+    Int64.equal (Bytes.get_int64_le t.volatile base) expected
+    && begin
+         (* No extra crash point between the read and the write: this
+            models a hardware CAS instruction. *)
+         Stats.incr_writes t.stats;
+         Bytes.set_int64_le t.volatile base desired;
+         mark_written t index;
+         true
        end
-     done
-   with
-  | () ->
-      if hi <> lo then Mutex.unlock t.stripes.(hi);
-      Mutex.unlock t.stripes.(lo)
-  | exception e ->
-      if hi <> lo then Mutex.unlock t.stripes.(hi);
-      Mutex.unlock t.stripes.(lo);
-      raise e);
-  if !m0 >= 0 then log_append t !m0;
-  if !m1 >= 0 then log_append t !m1;
-  maybe_yield t;
-  0
+  with
+  | swapped ->
+      leave_lines t ~first:index ~last:index;
+      observe Obs.Probe.Pmem_cas t0_ns;
+      swapped
+  | exception e -> abort_lines t ~first:index ~last:index e
 
-let elide_slow t ~first ~last =
-  let marked = ref [] in
-  with_lines t ~first ~last (fun () ->
-      Stats.incr_flushes_elided t.stats;
-      for index = first to last do
-        Crash.step t.crash_ctl;
-        if t.dirty.(index) && not t.pending.(index) then begin
-          t.pending.(index) <- true;
-          marked := index :: !marked
-        end
-      done);
-  List.iter (log_append t) (List.rev !marked);
-  0
+(* {2 Persistence} *)
 
-let flush_raw t ~off ~len =
-  if len = 0 then begin
-    (* One [Crash.check], like a zero-length read; the call still
-       counts as a flush (see stats.mli). *)
-    Crash.check t.crash_ctl;
-    (match t.flush_mode with
-    | Eager -> Stats.incr_flushes t.stats
-    | Coalesced -> Stats.incr_flushes_elided t.stats);
-    0
-  end
-  else begin
-    (* inline [covering]: returning the pair would allocate per flush *)
-    let first = Offset.to_int off / t.line_size in
-    let last = (Offset.to_int off + len - 1) / t.line_size in
-    Crash.sched_point t.crash_ctl ~kind:Crash.Flush ~first_line:first
-      ~last_line:last ~persists:true;
-    match t.flush_mode with
-    | Coalesced ->
-        if last - first <= 1 then elide_fast t ~first ~last
-        else elide_slow t ~first ~last
-    | Eager ->
-    if last - first <= 1 then begin
-      let sa = stripe_of t first in
-      let sb = if last = first then sa else stripe_of t last in
-      let lo = min sa sb and hi = max sa sb in
-      Mutex.lock t.stripes.(lo);
-      if hi <> lo then Mutex.lock t.stripes.(hi);
-      match
-        Stats.incr_flushes t.stats;
-        flush_lines_locked t ~off ~len
-      with
-      | persisted ->
-          if hi <> lo then Mutex.unlock t.stripes.(hi);
-          Mutex.unlock t.stripes.(lo);
-          maybe_yield t;
-          persisted
-      | exception e ->
-          if hi <> lo then Mutex.unlock t.stripes.(hi);
-          Mutex.unlock t.stripes.(lo);
-          raise e
-    end
-    else
-      with_lines t ~first ~last (fun () ->
-          Stats.incr_flushes t.stats;
-          flush_lines_locked t ~off ~len)
+(* Every flush call counts once, under [flushes] on an eager device and
+   under [flushes_elided] on a coalesced one (see stats.mli). *)
+let count_flush t =
+  match t.flush_mode with
+  | Eager -> Stats.incr_flushes t.stats
+  | Coalesced -> Stats.incr_flushes_elided t.stats
+
+(* One covered line of an eager flush: a crash point, then the write-back
+   of a dirty line.  The in-flight content a crash may tear is the whole
+   dirty line; a clean line has nothing in flight. *)
+let flush_line t index =
+  let line_start = index * t.line_size in
+  let seg_len =
+    if t.dirty.(index) then min t.line_size (t.size - line_start) else 0
+  in
+  step_fault t ~index ~seg_start:line_start ~seg_len ~src:t.volatile
+    ~src_off:line_start;
+  if t.dirty.(index) then write_back t index
+
+(* One covered line of a coalesced flush: the same crash point as the
+   eager flush — crash-point numbering is identical in both modes, so an
+   [At_op] placement lands at the same operation whether or not coalescing
+   is on — but a dirty line is only marked pending and logged, in
+   first-flush order.  Nothing is written back, so nothing can tear. *)
+let mark_line t log index =
+  Crash.step t.crash_ctl;
+  if t.dirty.(index) && not t.pending.(index) then begin
+    t.pending.(index) <- true;
+    log_push log index
   end
 
+(* A coalesced flush takes its pending log's mutex before the stripes —
+   log before stripe, the order drains use — so the lines it marks are
+   logged in the same locked section. *)
 let flush t ~off ~len =
   if len < 0 then invalid_arg "Pmem.flush: negative length";
   check_range t off len;
-  if not (Obs.Config.enabled ()) then ignore (flush_raw t ~off ~len : int)
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let persisted = flush_raw t ~off ~len in
-    Obs.Probe.record_latency Obs.Probe.Pmem_flush ~t0_ns;
-    match t.flush_mode with
-    | Eager -> Obs.Counters.record_flush Obs.Probe.counters ~lines:persisted
-    | Coalesced -> Obs.Counters.record_flush_elided Obs.Probe.counters
-  end
+  let t0_ns = obs_start () in
+  (if len = 0 then begin
+     Crash.check t.crash_ctl;
+     count_flush t
+   end
+   else begin
+     let first = Offset.to_int off / t.line_size in
+     let last = (Offset.to_int off + len - 1) / t.line_size in
+     Crash.sched_point t.crash_ctl ~kind:Crash.Flush ~first_line:first
+       ~last_line:last ~persists:true;
+     let coalesced = t.flush_mode = Coalesced in
+     let log = my_log t in
+     if coalesced then Mutex.lock log.log_mu;
+     lock_lines t ~first ~last;
+     match
+       count_flush t;
+       for index = first to last do
+         if coalesced then mark_line t log index else flush_line t index
+       done
+     with
+     | () ->
+         unlock_lines t ~first ~last;
+         if coalesced then Mutex.unlock log.log_mu;
+         maybe_yield t
+     | exception e ->
+         unlock_lines t ~first ~last;
+         if coalesced then Mutex.unlock log.log_mu;
+         raise e
+   end);
+  observe Obs.Probe.Pmem_flush t0_ns
 
 let flush_byte t off = flush t ~off ~len:1
 
@@ -1063,6 +869,8 @@ let drain_all t =
   | Coalesced ->
       Crash.check t.crash_ctl;
       drain_every_log t
+
+(* {2 Crash simulation} *)
 
 let crash t =
   (* Reset the pending logs first, without stripes held (lock order: log
@@ -1110,6 +918,8 @@ let crash_and_restart t =
   crash t;
   restart t
 
+(* {2 Introspection} *)
+
 let peek_volatile t ~off ~len =
   check_range t off len;
   if len = 0 then Bytes.empty
@@ -1123,22 +933,21 @@ let peek_persistent t ~off ~len =
     with_all_lines t (fun () ->
         Backend.read t.backend ~off:(Offset.to_int off) ~len)
 
-let dirty_line_count t =
-  with_all_lines t (fun () ->
-      Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 t.dirty)
+let count_set tags =
+  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 tags
 
-let is_dirty t off =
+let dirty_line_count t = with_all_lines t (fun () -> count_set t.dirty)
+let pending_line_count t = with_all_lines t (fun () -> count_set t.pending)
+
+(* One line's tag, read under its stripe. *)
+let line_tag t tags off =
   check_range t off 1;
   let index = Layout.line_index ~line_size:t.line_size off in
-  with_lines t ~first:index ~last:index (fun () -> t.dirty.(index))
+  lock_lines t ~first:index ~last:index;
+  let tag = tags.(index) in
+  leave_lines t ~first:index ~last:index;
+  tag
 
-let pending_line_count t =
-  with_all_lines t (fun () ->
-      Array.fold_left (fun acc p -> if p then acc + 1 else acc) 0 t.pending)
-
-let is_pending t off =
-  check_range t off 1;
-  let index = Layout.line_index ~line_size:t.line_size off in
-  with_lines t ~first:index ~last:index (fun () -> t.pending.(index))
-
+let is_dirty t off = line_tag t t.dirty off
+let is_pending t off = line_tag t t.pending off
 let unsafe_break_drain ?(skip = 1) t = t.drain_breakage <- skip

@@ -24,10 +24,10 @@
     All operations are linearizable, which models x86-TSO-style atomic
     cache-line access closely enough for the protocols in this repository.
     Internally the device is {e striped}: cache lines are partitioned over a
-    fixed set of locks (stripe [s] guards every line [l] with
-    [l mod stripes = s]), so operations on disjoint lines proceed in
-    parallel across worker domains while an operation spanning several lines
-    holds every covering stripe for its whole duration.  Whole-device
+    fixed set of locks by a hash of the line index, so operations on
+    disjoint lines proceed in parallel across worker domains while an
+    operation spanning several lines holds every covering stripe for its
+    whole duration.  Whole-device
     operations ({!crash}, {!peek_volatile}, {!peek_persistent},
     {!dirty_line_count}) take all stripes, in ascending order like every
     other operation, so the locking is deadlock-free.  Operations raise
@@ -83,7 +83,7 @@ val create :
     {!Lose_all}; [auto_flush] defaults to [false]; [backend] defaults to an
     in-memory image of [size] bytes.
 
-    [stripes] (default 64) is the number of device-lock stripes; it is
+    [stripes] (default {!default_stripes}) is the number of device-lock stripes; it is
     clamped to the number of cache lines and rounded down to a power of
     two.  More stripes mean less contention between worker domains
     operating on disjoint lines; one stripe restores the old fully

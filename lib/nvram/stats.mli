@@ -1,5 +1,8 @@
 (** Operation counters for a simulated persistent-memory device.
 
+    These are the only count of device events: each read, write, flush
+    call, drain and persisted line is counted once, here, per device and
+    always — observability ([Obs]) records latencies but no device counts.
     The counters are updated atomically so that worker domains can share one
     device.  They are used by the benchmark harness to report how many
     flushes a protocol issues (the dominant cost on real NVRAM) and by tests

@@ -2,12 +2,6 @@ let stripes = 16 (* power of two *)
 
 type stripe = {
   ops : int Atomic.t;
-  reads : int Atomic.t;
-  writes : int Atomic.t;
-  flushes : int Atomic.t;
-  flushes_elided : int Atomic.t;
-  drains : int Atomic.t;
-  lines_flushed : int Atomic.t;
   crashes_survived : int Atomic.t;
   recovery_passes : int Atomic.t;
   payload_bytes : int Atomic.t;
@@ -25,12 +19,6 @@ type t = stripe array
 
 type totals = {
   ops : int;
-  reads : int;
-  writes : int;
-  flushes : int;
-  flushes_elided : int;
-  drains : int;
-  lines_flushed : int;
   crashes_survived : int;
   recovery_passes : int;
   payload_bytes : int;
@@ -48,12 +36,6 @@ let create () : t =
   Array.init stripes (fun _ : stripe ->
       {
         ops = Atomic.make 0;
-        reads = Atomic.make 0;
-        writes = Atomic.make 0;
-        flushes = Atomic.make 0;
-        flushes_elided = Atomic.make 0;
-        drains = Atomic.make 0;
-        lines_flushed = Atomic.make 0;
         crashes_survived = Atomic.make 0;
         recovery_passes = Atomic.make 0;
         payload_bytes = Atomic.make 0;
@@ -70,7 +52,6 @@ let create () : t =
 let mine (t : t) = t.((Domain.self () :> int) land (stripes - 1))
 let add counter n = ignore (Atomic.fetch_and_add counter n)
 let incr_ops t = add (mine t).ops 1
-let incr_reads t = add (mine t).reads 1
 let incr_crashes_survived t = add (mine t).crashes_survived 1
 let incr_recovery_passes t = add (mine t).recovery_passes 1
 let incr_faults_injected t = add (mine t).faults_injected 1
@@ -83,33 +64,14 @@ let incr_dedup_hits t = add (mine t).dedup_hits 1
 
 let record_write t ~payload ~amplified =
   let s = mine t in
-  add s.writes 1;
   add s.payload_bytes payload;
   add s.amplified_bytes amplified
-
-let record_flush t ~lines =
-  let s = mine t in
-  add s.flushes 1;
-  add s.lines_flushed lines
-
-let record_flush_elided t = add (mine t).flushes_elided 1
-
-let record_drain t ~lines =
-  let s = mine t in
-  add s.drains 1;
-  add s.lines_flushed lines
 
 let totals (t : t) =
   Array.fold_left
     (fun (acc : totals) (s : stripe) ->
       {
         ops = acc.ops + Atomic.get s.ops;
-        reads = acc.reads + Atomic.get s.reads;
-        writes = acc.writes + Atomic.get s.writes;
-        flushes = acc.flushes + Atomic.get s.flushes;
-        flushes_elided = acc.flushes_elided + Atomic.get s.flushes_elided;
-        drains = acc.drains + Atomic.get s.drains;
-        lines_flushed = acc.lines_flushed + Atomic.get s.lines_flushed;
         crashes_survived = acc.crashes_survived + Atomic.get s.crashes_survived;
         recovery_passes = acc.recovery_passes + Atomic.get s.recovery_passes;
         payload_bytes = acc.payload_bytes + Atomic.get s.payload_bytes;
@@ -125,12 +87,6 @@ let totals (t : t) =
       })
     {
       ops = 0;
-      reads = 0;
-      writes = 0;
-      flushes = 0;
-      flushes_elided = 0;
-      drains = 0;
-      lines_flushed = 0;
       crashes_survived = 0;
       recovery_passes = 0;
       payload_bytes = 0;
@@ -149,12 +105,6 @@ let reset (t : t) =
   Array.iter
     (fun (s : stripe) ->
       Atomic.set s.ops 0;
-      Atomic.set s.reads 0;
-      Atomic.set s.writes 0;
-      Atomic.set s.flushes 0;
-      Atomic.set s.flushes_elided 0;
-      Atomic.set s.drains 0;
-      Atomic.set s.lines_flushed 0;
       Atomic.set s.crashes_survived 0;
       Atomic.set s.recovery_passes 0;
       Atomic.set s.payload_bytes 0;
@@ -171,23 +121,3 @@ let reset (t : t) =
 let write_amplification totals =
   if totals.payload_bytes = 0 then 0.
   else Float.of_int totals.amplified_bytes /. Float.of_int totals.payload_bytes
-
-(* Fair cost metric across both flush modes: a drain event is a moment the
-   device wrote lines back, exactly like an eager flush call.  An eager
-   device never drains, so the metric reduces to flushes/ops there and the
-   pre-coalescer accounting is unchanged. *)
-let flush_per_op totals =
-  if totals.ops = 0 then 0.
-  else Float.of_int (totals.flushes + totals.drains) /. Float.of_int totals.ops
-
-let pp fmt t =
-  Format.fprintf fmt
-    "ops=%d reads=%d writes=%d flushes=%d flushes_elided=%d drains=%d \
-     lines_flushed=%d crashes_survived=%d recovery_passes=%d \
-     payload_bytes=%d amplified_bytes=%d faults_injected=%d \
-     faults_detected=%d faults_repaired=%d faults_quarantined=%d \
-     conns_accepted=%d requests_served=%d dedup_hits=%d"
-    t.ops t.reads t.writes t.flushes t.flushes_elided t.drains
-    t.lines_flushed t.crashes_survived t.recovery_passes t.payload_bytes
-    t.amplified_bytes t.faults_injected t.faults_detected t.faults_repaired
-    t.faults_quarantined t.conns_accepted t.requests_served t.dedup_hits

@@ -1,31 +1,27 @@
 (** Observability counter sets.
 
-    Unlike {!Nvram.Stats} (seven global lifetime counters owned by the
-    device), these are the reporting-facing counters the bench suite and
-    the fuzzer read: operations executed, flush calls and lines actually
-    persisted, crashes survived and recovery passes, and the write
+    These are the process-wide counters of events above the device:
+    operations executed, crashes survived and recovery passes, media
+    faults injected, detected, repaired and quarantined, the server's
+    connections, answered requests and dedup hits, and the write
     amplification a protocol pays — payload bytes the caller asked to
     write vs the cache-line bytes the device actually touched.
 
+    Device events — reads, writes, flush calls (eager and elided), drains
+    and lines persisted — are not here.  They are counted once, per
+    device and always on, by {!Nvram.Stats}: tests and experiments compare
+    devices, and a count that exists only while observability is on
+    cannot pin protocol costs.
+
     Recording is striped by domain id like {!Histogram}; {!totals} sums
-    the stripes.  All recording respects nothing — callers gate on
-    {!Config.enabled} before calling, so the counters themselves stay
-    branch-free. *)
+    the stripes.  The counters are branch-free: each call site decides
+    whether to record (most gate on {!Config.enabled}; the server's
+    per-connection and per-request counts are always on). *)
 
 type t
 
 type totals = {
   ops : int;  (** completed [Exec.call] invocations *)
-  reads : int;
-  writes : int;
-  flushes : int;  (** flush calls served eagerly *)
-  flushes_elided : int;
-      (** flush calls the coalescer turned into pending marks (coalesced
-          mode only; disjoint from [flushes]) *)
-  drains : int;
-      (** drain events (persist barriers / dependent reads / era
-          boundaries) that persisted at least one pending line *)
-  lines_flushed : int;  (** cache lines actually persisted *)
   crashes_survived : int;  (** device crashes followed by a reboot *)
   recovery_passes : int;  (** [Exec.recover] completions *)
   payload_bytes : int;  (** bytes the callers asked to write *)
@@ -51,7 +47,6 @@ type totals = {
 val create : unit -> t
 
 val incr_ops : t -> unit
-val incr_reads : t -> unit
 val incr_crashes_survived : t -> unit
 val incr_recovery_passes : t -> unit
 val incr_faults_injected : t -> unit
@@ -63,29 +58,12 @@ val incr_requests_served : t -> unit
 val incr_dedup_hits : t -> unit
 
 val record_write : t -> payload:int -> amplified:int -> unit
-(** One write call: [payload] bytes requested, [amplified] bytes of cache
-    lines covered (always [>= payload] for non-empty writes). *)
-
-val record_flush : t -> lines:int -> unit
-(** One flush call that persisted [lines] cache lines. *)
-
-val record_flush_elided : t -> unit
-(** One flush call elided by the coalescer: nothing was persisted, the
-    covered dirty lines were only marked pending. *)
-
-val record_drain : t -> lines:int -> unit
-(** One drain event that persisted [lines] pending cache lines. *)
+(** One write call's amplification: [payload] bytes requested, [amplified]
+    bytes of cache lines covered (always [>= payload] for non-empty
+    writes). *)
 
 val totals : t -> totals
 val reset : t -> unit
 
 val write_amplification : totals -> float
 (** [amplified_bytes / payload_bytes]; [0.] when nothing was written. *)
-
-val flush_per_op : totals -> float
-(** [(flushes + drains) / ops]; [0.] when no op completed.  Counting drain
-    events next to eager flush calls makes the metric comparable across
-    flush modes; on an eager device [drains = 0], so the value is the
-    pre-coalescer [flushes / ops]. *)
-
-val pp : Format.formatter -> totals -> unit

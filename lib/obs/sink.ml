@@ -4,8 +4,6 @@ type snapshot = {
   trace_tail : Trace.event list;
 }
 
-type t = snapshot -> unit
-
 let capture ?(trace_tail = 64) () =
   {
     histograms =
@@ -18,17 +16,3 @@ let capture ?(trace_tail = 64) () =
   }
 
 let summary_exn s name = List.assoc name s.histograms
-
-let pp fmt s =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun (name, (summary : Histogram.summary)) ->
-      if summary.Histogram.count > 0 then
-        Format.fprintf fmt "%-14s n=%-9d p50=%.0fns p95=%.0fns p99=%.0fns@,"
-          name summary.Histogram.count summary.Histogram.p50
-          summary.Histogram.p95 summary.Histogram.p99)
-    s.histograms;
-  Format.fprintf fmt "%a@," Counters.pp s.counters;
-  Format.fprintf fmt "write_amplification=%.2f flush_per_op=%.2f@]"
-    (Counters.write_amplification s.counters)
-    (Counters.flush_per_op s.counters)

@@ -1,10 +1,9 @@
-(** Consuming observability data.
+(** Reading the global probes.
 
-    A sink is any consumer of a {!snapshot} — the bench harness turning it
-    into JSON columns, the fuzzer attaching a trace tail to a reproducer,
-    a future metrics endpoint.  {!capture} is the one read path: it sums
-    the striped histograms and counters and copies the trace tail, so the
-    snapshot is a plain immutable value safe to format from any thread. *)
+    {!capture} is the one read path: it sums the striped histograms and
+    counters and copies the trace tail, so the snapshot is a plain
+    immutable value safe to format from any thread.  Device event counts
+    are not in it: they are per device, in {!Nvram.Stats}. *)
 
 type snapshot = {
   histograms : (string * Histogram.summary) list;
@@ -13,9 +12,6 @@ type snapshot = {
   trace_tail : Trace.event list;  (** Oldest first. *)
 }
 
-type t = snapshot -> unit
-(** A sink consumes snapshots. *)
-
 val capture : ?trace_tail:int -> unit -> snapshot
 (** [capture ()] reads the global probes.  [trace_tail] bounds the copied
     trace events (default 64). *)
@@ -23,7 +19,3 @@ val capture : ?trace_tail:int -> unit -> snapshot
 val summary_exn : snapshot -> string -> Histogram.summary
 (** [summary_exn s name] looks up a histogram summary by probe name.
     @raise Not_found if [name] is not a probe. *)
-
-val pp : Format.formatter -> snapshot -> unit
-(** Multi-line human-readable report (histograms, counters, derived
-    write-amplification and flush-per-op ratios). *)

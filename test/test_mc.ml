@@ -225,6 +225,22 @@ let test_equivalence_certified () =
       Alcotest.failf "unexpected divergence: %s" v.Explore.reason
   | Explore.Equivalence_inconclusive msg -> Alcotest.fail msg
 
+(* Crash-point numbering, pinned absolutely.  The parity check above only
+   compares the two modes, so a numbering shift that moved both equally
+   (an extra or a lost [Crash.step] in a shared device path) would pass
+   it.  The correct-CAS certificate at preemption bound 1 walks every
+   crash placement of the E3 workload; its execution and decision counts
+   are a fingerprint of where each device operation consults the crash
+   scheduler. *)
+let test_numbering_pinned flush_mode ~executions ~points () =
+  let config = { config with Explore.flush_mode } in
+  let stats =
+    certified_exn "correct CAS"
+      (Explore.explore ~config (e3_workload Workload.Rcas))
+  in
+  Alcotest.(check int) "executions" executions stats.Explore.executions;
+  Alcotest.(check int) "decision points" points stats.Explore.points
+
 let test_equivalence_catches_broken_drain () =
   match
     Explore.check_equivalence ~config ~broken_drain:true (rcounter_workload 4)
@@ -408,5 +424,10 @@ let () =
             test_equivalence_certified;
           Alcotest.test_case "sabotaged drain is caught" `Quick
             test_equivalence_catches_broken_drain;
+          Alcotest.test_case "eager numbering pinned" `Quick
+            (test_numbering_pinned Pmem.Eager ~executions:582 ~points:28190);
+          Alcotest.test_case "coalesced numbering pinned" `Quick
+            (test_numbering_pinned Pmem.Coalesced ~executions:582
+               ~points:28190);
         ] );
     ]

@@ -209,6 +209,54 @@ let test_stats_zero_length () =
   Alcotest.(check int) "no lines flushed" 0 (Nvram.Stats.lines_flushed s);
   Alcotest.(check int) "nothing dirtied" 0 (Pmem.dirty_line_count p)
 
+(* Hot device paths allocate nothing on the minor heap: minor collections
+   stop every domain in OCaml 5, so one boxed value per device access
+   dominated multicore scaling before these paths were made
+   allocation-free.  Each operation runs warm, with observability off, in
+   both flush modes; [read_int64] may box its result and nothing else. *)
+let alloc_iters = 10_000
+
+let words_per_op f =
+  for _ = 1 to 1_000 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to alloc_iters do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int alloc_iters
+
+let test_hot_paths_allocation_free flush_mode () =
+  Obs.Config.set_enabled false;
+  let p = Pmem.create ~flush_mode ~size:4096 () in
+  let w = off 128 and line = Bytes.make 16 'a' and two = Bytes.make 64 'b' in
+  let straddle = off 224 (* 64 bytes across lines 3 and 4 *) in
+  let free name budget f =
+    let words = words_per_op f in
+    if words > budget then
+      Alcotest.failf "%s: %.2f minor words/op (budget %.0f)" name words budget
+  in
+  free "write_int" 0. (fun () -> Pmem.write_int p w 7);
+  free "read_int" 0. (fun () -> ignore (Pmem.read_int p w : int));
+  free "write_int64" 0. (fun () -> Pmem.write_int64 p w 7L);
+  free "read_int64" 3. (fun () -> ignore (Pmem.read_int64 p w : int64));
+  free "write_byte" 0. (fun () -> Pmem.write_byte p w 7);
+  free "read_byte" 0. (fun () -> ignore (Pmem.read_byte p w : int));
+  free "write_bytes 1 line" 0. (fun () -> Pmem.write_bytes p ~off:w line);
+  free "write_bytes 2 lines" 0. (fun () ->
+      Pmem.write_bytes p ~off:straddle two);
+  free "flush 1 line" 0. (fun () -> Pmem.flush p ~off:w ~len:16);
+  free "flush 2 lines" 0. (fun () -> Pmem.flush p ~off:straddle ~len:64);
+  free "cas_int64" 0. (fun () ->
+      ignore (Pmem.cas_int64 p w ~expected:7L ~desired:7L : bool));
+  free "persist_barrier" 0. (fun () -> Pmem.persist_barrier p);
+  (* the dirty -> pending -> drained cycle, with real write-backs *)
+  free "write, flush, barrier" 0. (fun () ->
+      Pmem.write_bytes p ~off:straddle two;
+      Pmem.flush p ~off:straddle ~len:64;
+      Pmem.persist_barrier p;
+      ignore (Pmem.read_int p w : int))
+
 let test_zero_length_crash_semantics () =
   (* every zero-length op consults the scheduler exactly once, via
      Crash.check: it raises after a crash has fired, but is never itself a
@@ -361,6 +409,10 @@ let () =
             test_stats_zero_length;
           Alcotest.test_case "zero-length crash semantics" `Quick
             test_zero_length_crash_semantics;
+          Alcotest.test_case "hot paths allocation-free (eager)" `Quick
+            (test_hot_paths_allocation_free Pmem.Eager);
+          Alcotest.test_case "hot paths allocation-free (coalesced)" `Quick
+            (test_hot_paths_allocation_free Pmem.Coalesced);
         ] );
       ( "crash scheduling",
         [

@@ -6,6 +6,7 @@ module Counters = Obs.Counters
 module Trace = Obs.Trace
 module Config = Obs.Config
 module Pmem = Nvram.Pmem
+module Stats = Nvram.Stats
 
 let off = Nvram.Offset.of_int
 
@@ -79,65 +80,59 @@ let test_counters () =
   let c = Counters.create () in
   Counters.incr_ops c;
   Counters.incr_ops c;
-  Counters.incr_reads c;
   Counters.record_write c ~payload:10 ~amplified:64;
   Counters.record_write c ~payload:100 ~amplified:128;
-  Counters.record_flush c ~lines:3;
   Counters.incr_crashes_survived c;
   Counters.incr_recovery_passes c;
+  Counters.incr_conns_accepted c;
+  Counters.incr_requests_served c;
+  Counters.incr_dedup_hits c;
   let t = Counters.totals c in
   Alcotest.(check int) "ops" 2 t.Counters.ops;
-  Alcotest.(check int) "reads" 1 t.Counters.reads;
-  Alcotest.(check int) "writes" 2 t.Counters.writes;
-  Alcotest.(check int) "flushes" 1 t.Counters.flushes;
-  Alcotest.(check int) "lines flushed" 3 t.Counters.lines_flushed;
   Alcotest.(check int) "crashes survived" 1 t.Counters.crashes_survived;
   Alcotest.(check int) "recovery passes" 1 t.Counters.recovery_passes;
   Alcotest.(check int) "payload bytes" 110 t.Counters.payload_bytes;
   Alcotest.(check int) "amplified bytes" 192 t.Counters.amplified_bytes;
+  Alcotest.(check int) "connections" 1 t.Counters.conns_accepted;
+  Alcotest.(check int) "requests" 1 t.Counters.requests_served;
+  Alcotest.(check int) "dedup hits" 1 t.Counters.dedup_hits;
   Alcotest.(check (float 0.001)) "write amplification" (192. /. 110.)
     (Counters.write_amplification t);
-  Alcotest.(check (float 0.001)) "flush per op" 0.5 (Counters.flush_per_op t);
   Counters.reset c;
   Alcotest.(check int) "reset" 0 (Counters.totals c).Counters.ops
 
-(* The partition rule: a flush call lands in [flushes] (eager) XOR
-   [flushes_elided] (coalesced), never both; a drain event is its own
-   counter; and the flush_per_op metric charges eager flush calls plus
-   drain events — so on an eager device (drains = 0) it degenerates to
-   the historical flushes/ops, bit for bit. *)
+(* Device events are counted once, in the device's own [Stats].  The
+   partition rule: a flush call lands in [flushes] on an eager device and
+   in [flushes_elided] on a coalesced one, never both; a drain event
+   counts only when it wrote something back; and drained lines land in
+   [lines_flushed] like eagerly flushed ones. *)
 let test_counters_elision_partition () =
-  let c = Counters.create () in
-  Counters.incr_ops c;
-  Counters.incr_ops c;
-  Counters.record_flush c ~lines:1;
-  Counters.record_flush_elided c;
-  Counters.record_flush_elided c;
-  Counters.record_flush_elided c;
-  Counters.record_drain c ~lines:2;
-  let t = Counters.totals c in
-  Alcotest.(check int) "flushes counts only eager calls" 1 t.Counters.flushes;
-  Alcotest.(check int) "elided calls counted apart" 3
-    t.Counters.flushes_elided;
-  Alcotest.(check int) "drain events" 1 t.Counters.drains;
-  Alcotest.(check int) "drained lines land in lines_flushed" 3
-    t.Counters.lines_flushed;
-  Alcotest.(check (float 0.001))
-    "flush_per_op = (flushes + drains) / ops" 1.
-    (Counters.flush_per_op t);
-  Counters.reset c;
-  let t = Counters.totals c in
-  Alcotest.(check int) "reset zeroes elided" 0 t.Counters.flushes_elided;
-  Alcotest.(check int) "reset zeroes drains" 0 t.Counters.drains
+  let run flush_mode =
+    let pmem = Pmem.create ~flush_mode ~size:4096 () in
+    Pmem.write_int pmem (off 0) 1;
+    Pmem.flush pmem ~off:(off 0) ~len:8;
+    Pmem.flush pmem ~off:(off 0) ~len:0;
+    Pmem.persist_barrier pmem;
+    Pmem.persist_barrier pmem;
+    Pmem.stats pmem
+  in
+  let counts s =
+    Stats.[ flushes s; flushes_elided s; drains s; lines_flushed s ]
+  in
+  Alcotest.(check (list int))
+    "eager: flushes, elided, drains, lines" [ 2; 0; 0; 1 ]
+    (counts (run Pmem.Eager));
+  Alcotest.(check (list int))
+    "coalesced: flushes, elided, drains, lines" [ 0; 2; 1; 1 ]
+    (counts (run Pmem.Coalesced))
 
-(* A fixed op sequence on an eager obs-on device must produce exactly the
-   pre-coalescing counter values — in particular zero elided flushes and
-   zero drains, and [persist_barrier] must contribute nothing at all.
-   This pins the double-counting fix: eager numbers cannot drift because
-   the coalescer exists. *)
-let eager_pin_sequence flush_mode =
-  Obs.Probe.reset ();
-  Config.with_enabled true (fun () ->
+(* A fixed op sequence must produce exactly the pre-coalescing counter
+   values on an eager device — in particular zero elided flushes and zero
+   drains, and [persist_barrier] must contribute nothing at all — and the
+   same values whether observability is on or off: the counts are the
+   device's, not the recorder's. *)
+let pin_sequence flush_mode ~obs =
+  Config.with_enabled obs (fun () ->
       let pmem = Pmem.create ~flush_mode ~size:4096 () in
       let data = Bytes.make 100 'x' in
       Pmem.write_bytes pmem ~off:(off 0) data;
@@ -147,36 +142,47 @@ let eager_pin_sequence flush_mode =
       Pmem.flush pmem ~off:(off 256) ~len:8;
       Pmem.persist_barrier pmem;
       ignore (Pmem.read_bytes pmem ~off:(off 0) ~len:100);
-      Pmem.drain_all pmem);
-  let t = (Obs.Sink.capture ()).Obs.Sink.counters in
-  Obs.Probe.reset ();
-  t
+      Pmem.drain_all pmem;
+      Pmem.stats pmem)
+
+let check_pinned flush_mode check =
+  List.iter
+    (fun obs ->
+      Obs.Probe.reset ();
+      check (Printf.sprintf "obs %b: " obs) (pin_sequence flush_mode ~obs);
+      Obs.Probe.reset ())
+    [ false; true ]
 
 let test_eager_counters_pinned () =
-  let t = eager_pin_sequence Pmem.Eager in
-  Alcotest.(check int) "writes" 2 t.Counters.writes;
-  Alcotest.(check int) "reads" 1 t.Counters.reads;
-  Alcotest.(check int) "flushes" 3 t.Counters.flushes;
-  (* 2 lines from the first flush, 1 from the second; the repeated flush
-     finds its line already clean and writes nothing back. *)
-  Alcotest.(check int) "lines flushed" 3 t.Counters.lines_flushed;
-  Alcotest.(check int) "no elided flushes on an eager device" 0
-    t.Counters.flushes_elided;
-  Alcotest.(check int) "no drains on an eager device" 0 t.Counters.drains
+  check_pinned Pmem.Eager (fun on s ->
+      Alcotest.(check int) (on ^ "writes") 2 (Stats.writes s);
+      Alcotest.(check int) (on ^ "reads") 1 (Stats.reads s);
+      Alcotest.(check int) (on ^ "flushes") 3 (Stats.flushes s);
+      (* 2 lines from the first flush, 1 from the second; the repeated
+         flush finds its line already clean and writes nothing back. *)
+      Alcotest.(check int) (on ^ "lines flushed") 3 (Stats.lines_flushed s);
+      Alcotest.(check int)
+        (on ^ "no elided flushes on an eager device")
+        0 (Stats.flushes_elided s);
+      Alcotest.(check int) (on ^ "no drains on an eager device") 0
+        (Stats.drains s))
 
 (* The same sequence coalesced: every flush call elides, the repeated
    flush of one line coalesces, and the write-backs happen at the explicit
-   barrier and at the dependent read — each a single drain event. *)
+   barrier — a single drain event. *)
 let test_coalesced_counters_partition () =
-  let t = eager_pin_sequence Pmem.Coalesced in
-  Alcotest.(check int) "writes" 2 t.Counters.writes;
-  Alcotest.(check int) "no eager flush calls" 0 t.Counters.flushes;
-  Alcotest.(check int) "every flush call elided" 3 t.Counters.flushes_elided;
-  (* barrier drains lines 0-1 and 4; the read finds nothing pending and
-     the final drain_all finds nothing either, so exactly one drain. *)
-  Alcotest.(check int) "one drain event" 1 t.Counters.drains;
-  Alcotest.(check int) "all marked lines written back once" 3
-    t.Counters.lines_flushed
+  check_pinned Pmem.Coalesced (fun on s ->
+      Alcotest.(check int) (on ^ "writes") 2 (Stats.writes s);
+      Alcotest.(check int) (on ^ "no eager flush calls") 0 (Stats.flushes s);
+      Alcotest.(check int) (on ^ "every flush call elided") 3
+        (Stats.flushes_elided s);
+      (* barrier drains lines 0-1 and 4; the read finds nothing pending
+         and the final drain_all finds nothing either, so exactly one
+         drain. *)
+      Alcotest.(check int) (on ^ "one drain event") 1 (Stats.drains s);
+      Alcotest.(check int)
+        (on ^ "all marked lines written back once")
+        3 (Stats.lines_flushed s))
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring                                                           *)
@@ -267,12 +273,9 @@ let test_sink_capture_from_device () =
   Alcotest.(check int) "one read sampled" 1
     (summary "pmem_read").Histogram.count;
   let t = snap.Obs.Sink.counters in
-  Alcotest.(check int) "writes counted" 1 t.Counters.writes;
-  Alcotest.(check int) "reads counted" 1 t.Counters.reads;
   Alcotest.(check int) "payload bytes" 100 t.Counters.payload_bytes;
   (* 100 bytes from offset 0 dirty two 64-byte lines. *)
   Alcotest.(check int) "amplified bytes" 128 t.Counters.amplified_bytes;
-  Alcotest.(check bool) "lines flushed" true (t.Counters.lines_flushed >= 2);
   Obs.Probe.reset ()
 
 let test_disabled_records_nothing () =
@@ -284,7 +287,9 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "no samples while disabled" 0
     (Obs.Sink.summary_exn snap "pmem_write").Histogram.count;
   Alcotest.(check int) "no counters while disabled" 0
-    snap.Obs.Sink.counters.Counters.writes
+    snap.Obs.Sink.counters.Counters.payload_bytes;
+  Alcotest.(check int) "the device still counts" 1
+    (Stats.writes (Pmem.stats pmem))
 
 let () =
   Alcotest.run "obs"

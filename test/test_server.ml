@@ -70,6 +70,28 @@ let with_image f =
       try Sys.remove sock with _ -> ())
     (fun () -> f ~image ~sock)
 
+(* The STATS line a gracefully stopped server prints last. *)
+let stats_line s =
+  let rec scan last =
+    match input_line s.Harness.output with
+    | line when String.starts_with ~prefix:"STATS " line -> scan (Some line)
+    | _ -> scan last
+    | exception End_of_file -> (
+        close_in s.Harness.output;
+        match last with
+        | Some line -> line
+        | None -> Alcotest.fail "no STATS line on the server's stdout")
+  in
+  scan None
+
+let stats_field line name =
+  List.find_map
+    (fun word ->
+      match String.split_on_char '=' word with
+      | [ key; value ] when key = name -> int_of_string_opt value
+      | _ -> None)
+    (String.split_on_char ' ' line)
+
 let graceful_stop_persists () =
   with_image (fun ~image ~sock ->
       let s = ok_server (Harness.start_server ~image ~sock ()) in
@@ -84,6 +106,12 @@ let graceful_stop_persists () =
       | Unix.WEXITED 0 -> ()
       | Unix.WEXITED n -> Alcotest.failf "graceful stop exited %d" n
       | _ -> Alcotest.fail "graceful stop died of a signal");
+      (* The exit line counts without --obs: one connection, two answers. *)
+      let stats = stats_line s in
+      Alcotest.(check (option int)) "STATS conns" (Some 1)
+        (stats_field stats "conns");
+      Alcotest.(check (option int)) "STATS requests" (Some 2)
+        (stats_field stats "requests");
       let s2 = ok_server (Harness.start_server ~image ~sock ()) in
       Alcotest.(check bool) "second start attaches" false s2.Harness.fresh;
       let c2 = Client.connect ~addr:s2.Harness.sockaddr ~client:0 in
